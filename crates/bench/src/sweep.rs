@@ -83,30 +83,25 @@ impl SweepCache {
             labels: cases.iter().map(|c| c.label()).collect(),
             useful: cases.iter().map(|c| c.useful_work()).collect(),
         });
-        // All (case, variant) traces in parallel while the inputs are
-        // alive; `trace()` is pure, so any schedule yields the same data.
+        // Every case's traces in parallel while the inputs are alive,
+        // one job per case so variants that share work (the BFS bitmap
+        // traversal) do it once and drop their scratch when the job
+        // ends; `traces()` is pure, so any schedule yields the same data.
         // Trace construction performs the functional execution — the
         // dominant cost of a cold sweep — so dispatch longest-first
         // (useful work is the cost estimate) to overlap the heavy cases
         // with the cheap tail instead of serializing behind them.
-        let n_variants = Variant::ALL.len();
-        let traces = par_map_lpt(
-            cases.len() * n_variants,
-            |i| meta.useful[i / n_variants],
-            |i| {
-                let (ci, vi) = (i / n_variants, i % n_variants);
-                cases[ci].trace(Variant::ALL[vi]).map(Arc::new)
-            },
-        );
+        let traces = par_map_lpt(cases.len(), |ci| meta.useful[ci], |ci| cases[ci].traces());
         drop(cases);
         let mut meta_guard = self.meta.lock().unwrap();
         if let Some(existing) = meta_guard.get(&key) {
             return Arc::clone(existing); // lost a benign race
         }
         let mut trace_guard = self.traces.lock().unwrap();
-        for (i, t) in traces.into_iter().enumerate() {
-            let (ci, vi) = (i / n_variants, i % n_variants);
-            trace_guard.insert((w, ci, Variant::ALL[vi], sparse_scale, graph_scale), t);
+        for (ci, case_traces) in traces.into_iter().enumerate() {
+            for (v, t) in Variant::ALL.into_iter().zip(case_traces) {
+                trace_guard.insert((w, ci, v, sparse_scale, graph_scale), t.map(Arc::new));
+            }
         }
         meta_guard.insert(key, Arc::clone(&meta));
         meta

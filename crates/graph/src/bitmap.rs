@@ -46,45 +46,53 @@ impl BitmapGraph {
     /// the adjacency matrix holds the *in*-neighbour relationship used by
     /// pull-style BFS: bit `c` of row `r` is set when arc `c → r` exists,
     /// i.e. the structure is the transpose of the out-adjacency.
+    ///
+    /// Arcs are bucketed by row band with a stable counting sort. Sources
+    /// are scanned in ascending order, so each band's bucket is already
+    /// ordered by column and the slices fall out in (band, column band)
+    /// order in one linear pass — no comparison sort.
     pub fn from_graph(g: &CsrGraph) -> Self {
         let n = g.n;
         let row_blocks = n.div_ceil(BLOCK_ROWS);
         let col_blocks = n.div_ceil(BLOCK_COLS);
 
-        // Collect (row_block, col_block, local_row, local_col) per arc of
-        // the transpose, then bucket into slices.
-        let mut keys = workspace::take_in::<(u32, u32, u8, u8)>(g.num_arcs());
+        // Bucket bounds per row band: `start[rb]..start[rb + 1]`.
+        let (arc_offsets, adj) = (&g.offsets[..], &g.adj[..]);
+        let mut start = workspace::take(row_blocks + 1, 0usize);
+        for &v in adj {
+            start[v as usize / BLOCK_ROWS + 1] += 1;
+        }
+        for rb in 0..row_blocks {
+            start[rb + 1] += start[rb];
+        }
+        // (source column, local row) per arc of the transpose, bucketed.
+        let mut cursor = workspace::take_copy(&start[..row_blocks]);
+        let mut arcs = workspace::take(adj.len(), (0u32, 0u8));
         for u in 0..n {
-            for &v in g.neighbors(u) {
+            for &v in &adj[arc_offsets[u]..arc_offsets[u + 1]] {
                 // arc u → v sets bit u in row v of the pull structure.
-                let (r, c) = (v as usize, u);
-                keys.push((
-                    (r / BLOCK_ROWS) as u32,
-                    (c / BLOCK_COLS) as u32,
-                    (r % BLOCK_ROWS) as u8,
-                    (c % BLOCK_COLS) as u8,
-                ));
+                let rb = v as usize / BLOCK_ROWS;
+                arcs[cursor[rb]] = (u as u32, (v as usize % BLOCK_ROWS) as u8);
+                cursor[rb] += 1;
             }
         }
-        keys.sort_unstable();
 
         let mut offsets = vec![0usize; row_blocks + 1];
         let mut slices: Vec<Slice> = Vec::new();
-        let mut current: Option<(u32, u32)> = None;
-        for &(rb, cb, lr, lc) in keys.iter() {
-            if current != Some((rb, cb)) {
-                slices.push(Slice {
-                    col_block: cb,
-                    rows: [0u128; BLOCK_ROWS],
-                });
-                current = Some((rb, cb));
+        for rb in 0..row_blocks {
+            let mut current = None;
+            for &(u, lr) in &arcs[start[rb]..start[rb + 1]] {
+                let cb = u / BLOCK_COLS as u32;
+                if current != Some(cb) {
+                    slices.push(Slice {
+                        col_block: cb,
+                        rows: [0u128; BLOCK_ROWS],
+                    });
+                    current = Some(cb);
+                }
+                slices.last_mut().unwrap().rows[lr as usize] |= 1u128 << (u % BLOCK_COLS as u32);
             }
-            slices.last_mut().unwrap().rows[lr as usize] |= 1u128 << lc;
-            offsets[rb as usize + 1] = slices.len();
-        }
-        // Bands with no slices inherit the previous cumulative count.
-        for i in 1..=row_blocks {
-            offsets[i] = offsets[i].max(offsets[i - 1]);
+            offsets[rb + 1] = slices.len();
         }
         Self {
             n,

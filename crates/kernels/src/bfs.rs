@@ -10,10 +10,18 @@
 //!   6.1 credits for the BFS speedups.
 //! * **CC** executes the same slice loop as 32-bit AND/POPC integer
 //!   sequences (identical frontier evolution).
-//! * **CC-E** additionally skips slices whose rows are all settled —
-//!   only the essential bit tests (same memory traffic, fewer lane ops).
+//! * **CC-E** runs the same slice loop but issues only the essential
+//!   bit tests: the same memory traffic, 56 integer lane ops per
+//!   processed slice instead of CC's 776.
 //! * **Baseline** models Gunrock: direction-optimizing push/pull BFS
 //!   over CSR with frontier queues.
+//!
+//! All three bitmap variants skip the bands whose rows are all settled
+//! and process exactly the same slices, so they share one traversal
+//! ([`traverse_bitmap`]); each variant's trace is derived from its
+//! per-level profile by counter arithmetic ([`bitmap_trace`]).
+//! [`trace_all`] produces the four traces of a graph from one push/pull
+//! run and one bitmap traversal.
 //!
 //! BFS performs no floating-point arithmetic; correctness is exact
 //! level-by-level agreement with the serial reference.
@@ -39,7 +47,10 @@ pub fn reference(g: &CsrGraph, source: usize) -> Vec<i32> {
 pub fn run(g: &CsrGraph, source: usize, variant: Variant) -> (Vec<i32>, WorkloadTrace) {
     match variant {
         Variant::Baseline => run_push_pull(g, source),
-        Variant::Tc | Variant::Cc | Variant::CcE => run_bitmap(g, source, variant),
+        Variant::Tc | Variant::Cc | Variant::CcE => {
+            let (level, levels) = traverse_bitmap(g, source);
+            (level, bitmap_trace(&levels, col_blocks(g), variant))
+        }
     }
 }
 
@@ -49,20 +60,62 @@ pub fn trace(g: &CsrGraph, source: usize, variant: Variant) -> WorkloadTrace {
     run(g, source, variant).1
 }
 
+/// The traces of all four variants, in [`Variant::ALL`] order, from one
+/// push/pull run and one bitmap traversal. Each piece is profiled as a
+/// `trace` span: `bfs/Baseline`, `bfs/bitmap` (bitmap build plus the
+/// shared traversal) and one `bfs/<variant>` per derived bitmap trace.
+/// The spans do not nest.
+pub fn trace_all(g: &CsrGraph, source: usize) -> [WorkloadTrace; 4] {
+    let baseline = {
+        let mut span = cubie_obs::span("trace", "bfs/Baseline");
+        span.add_items(1);
+        run_push_pull(g, source).1
+    };
+    let levels = {
+        let _span = cubie_obs::span("trace", "bfs/bitmap");
+        traverse_bitmap(g, source).1
+    };
+    let derive = |variant: Variant| {
+        let mut span = cubie_obs::span_with("trace", || format!("bfs/{}", variant.label()));
+        span.add_items(1);
+        bitmap_trace(&levels, col_blocks(g), variant)
+    };
+    [
+        baseline,
+        derive(Variant::Tc),
+        derive(Variant::Cc),
+        derive(Variant::CcE),
+    ]
+}
+
 /// Useful traversal work: arcs in the graph (for GTEPS reporting).
 pub fn useful_edges(g: &CsrGraph) -> f64 {
     g.num_arcs() as f64
 }
 
-/// Bitmap pull BFS (TC / CC / CC-E — identical traversal, different
-/// issuing pipes and slice filtering in the trace).
-fn run_bitmap(g: &CsrGraph, source: usize, variant: Variant) -> (Vec<i32>, WorkloadTrace) {
+/// One level of the bitmap pull traversal: everything the bitmap
+/// variants' launch of that level is accounted from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Level {
+    /// Slices ANDed against a nonzero frontier segment.
+    pub processed: u64,
+    /// Vertices discovered at this level.
+    pub next_count: u64,
+}
+
+fn col_blocks(g: &CsrGraph) -> usize {
+    g.n.div_ceil(BLOCK_COLS)
+}
+
+/// Bitmap pull BFS, shared by TC / CC / CC-E: returns per-vertex levels
+/// and the per-level profile, one [`Level`] per launch (the last one is
+/// the empty-frontier check).
+pub fn traverse_bitmap(g: &CsrGraph, source: usize) -> (Vec<i32>, Vec<Level>) {
     let bm = BitmapGraph::from_graph(g);
     let n = g.n;
-    let col_blocks = bm.col_blocks;
     let mut level = vec![-1i32; n];
     level[source] = 0;
-    let mut frontier = workspace::take(col_blocks, 0u128);
+    let mut frontier = workspace::take(bm.col_blocks, 0u128);
     frontier[source / BLOCK_COLS] |= 1u128 << (source % BLOCK_COLS);
     // Bands that still contain unsettled rows.
     let mut band_unsettled = workspace::take(bm.row_blocks, BLOCK_ROWS as u32);
@@ -71,25 +124,22 @@ fn run_bitmap(g: &CsrGraph, source: usize, variant: Variant) -> (Vec<i32>, Workl
     }
     band_unsettled[source / BLOCK_ROWS] -= 1;
 
-    let mut workload = WorkloadTrace::default();
+    let mut levels = Vec::new();
     let mut depth = 0i32;
     let mut frontier_count = 1u64;
+    let mut scratch = OpCounters::default();
     while frontier_count > 0 {
         depth += 1;
         // Ping-pong through the arena: the retired frontier is the
         // buffer the next level's checkout gets back.
-        let mut next = workspace::take(col_blocks, 0u128);
-        let mut ops = OpCounters::default();
-        let mut scratch = OpCounters::default();
+        let mut next = workspace::take(bm.col_blocks, 0u128);
         let mut processed = 0u64;
-        let mut skipped_settled = 0u64;
         let mut next_count = 0u64;
         // `band_unsettled[rb]` is also decremented inside the inner loop,
         // so an iterator over it would alias the mutation.
         #[allow(clippy::needless_range_loop)]
         for rb in 0..bm.row_blocks {
             if band_unsettled[rb] == 0 {
-                skipped_settled += bm.band(rb).len() as u64;
                 continue;
             }
             for slice in bm.band(rb) {
@@ -114,36 +164,53 @@ fn run_bitmap(g: &CsrGraph, source: usize, variant: Variant) -> (Vec<i32>, Workl
                 }
             }
         }
-        // Account the level's launch.
+        levels.push(Level {
+            processed,
+            next_count,
+        });
+        frontier = next;
+        frontier_count = next_count;
+    }
+    (level, levels)
+}
+
+/// The trace of one bitmap variant (TC / CC / CC-E), derived from the
+/// per-level profile of [`traverse_bitmap`] on a graph with `col_blocks`
+/// 128-column blocks.
+pub fn bitmap_trace(levels: &[Level], col_blocks: usize, variant: Variant) -> WorkloadTrace {
+    let mut workload = WorkloadTrace::default();
+    for (i, level) in levels.iter().enumerate() {
+        let Level {
+            processed,
+            next_count,
+        } = *level;
+        let mut ops = OpCounters::default();
         match variant {
-            Variant::Tc => ops.mma_b1 = processed,
+            Variant::Tc => {
+                ops.mma_b1 = processed;
+                ops.int_ops = processed * 8; // diagonal extraction
+            }
             Variant::Cc => ops.int_ops = processed * 768 + processed * 8,
             Variant::CcE => {
                 // Essential: only unsettled rows' segments are tested
                 // (~4 u128 ops per live row on average).
                 ops.int_ops = processed * 12 * 8 / 2 + processed * 8;
             }
-            Variant::Baseline => unreachable!(),
-        }
-        if variant == Variant::Tc {
-            ops.int_ops = processed * 8; // diagonal extraction
+            Variant::Baseline => panic!("the Baseline BFS is not a bitmap traversal"),
         }
         ops.gmem_load = MemTraffic::coalesced(processed * 132) + MemTraffic::random(processed * 16);
         ops.gmem_store = MemTraffic::coalesced(next_count * 4 + col_blocks as u64 * 16);
         ops.smem_bytes = processed * 16;
-        let _ = skipped_settled;
         workload.push(KernelTrace::new(
-            format!("bfs-{}-level{}", variant.label(), depth),
+            format!("bfs-{}-level{}", variant.label(), i + 1),
             processed.div_ceil(8).max(1),
             256,
             4096,
             ops,
             latency::GMEM_RT + latency::MMA_B1 + latency::SMEM_RT,
         ));
-        frontier = next;
-        frontier_count = next_count;
     }
-    (level, workload)
+    workload
 }
 
 /// Direction-optimizing push/pull BFS (Gunrock-style baseline).

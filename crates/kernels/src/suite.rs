@@ -55,6 +55,9 @@ pub struct WorkloadSpec {
     pub dwarf: &'static str,
     /// Unit of the reported throughput.
     pub perf_unit: &'static str,
+    /// Unit of one execution's useful work ([`PreparedCase::useful_work`]),
+    /// the quantity `perf_unit` is a rate of.
+    pub work_unit: &'static str,
 }
 
 impl Workload {
@@ -83,6 +86,7 @@ impl Workload {
                 distinct_cce: false,
                 dwarf: "Dense linear algebra",
                 perf_unit: "GFLOP/s",
+                work_unit: "FLOP",
             },
             Workload::Pic => WorkloadSpec {
                 workload: *self,
@@ -92,6 +96,7 @@ impl Workload {
                 distinct_cce: false,
                 dwarf: "N-Body",
                 perf_unit: "Mpush/s",
+                work_unit: "pushes",
             },
             Workload::Fft => WorkloadSpec {
                 workload: *self,
@@ -101,6 +106,7 @@ impl Workload {
                 distinct_cce: false,
                 dwarf: "Spectral methods",
                 perf_unit: "GFLOP/s",
+                work_unit: "FLOP",
             },
             Workload::Stencil => WorkloadSpec {
                 workload: *self,
@@ -110,6 +116,7 @@ impl Workload {
                 distinct_cce: false,
                 dwarf: "Structured grids",
                 perf_unit: "Gpoint/s",
+                work_unit: "points",
             },
             Workload::Scan => WorkloadSpec {
                 workload: *self,
@@ -119,6 +126,7 @@ impl Workload {
                 distinct_cce: true,
                 dwarf: "MapReduce",
                 perf_unit: "Gelem/s",
+                work_unit: "elements",
             },
             Workload::Reduction => WorkloadSpec {
                 workload: *self,
@@ -128,6 +136,7 @@ impl Workload {
                 distinct_cce: true,
                 dwarf: "MapReduce",
                 perf_unit: "Gelem/s",
+                work_unit: "elements",
             },
             Workload::Bfs => WorkloadSpec {
                 workload: *self,
@@ -137,6 +146,7 @@ impl Workload {
                 distinct_cce: true,
                 dwarf: "Graph traversal",
                 perf_unit: "GTEPS",
+                work_unit: "edges",
             },
             Workload::Gemv => WorkloadSpec {
                 workload: *self,
@@ -146,6 +156,7 @@ impl Workload {
                 distinct_cce: true,
                 dwarf: "Dense linear algebra",
                 perf_unit: "GFLOP/s",
+                work_unit: "FLOP",
             },
             Workload::Spmv => WorkloadSpec {
                 workload: *self,
@@ -155,6 +166,7 @@ impl Workload {
                 distinct_cce: true,
                 dwarf: "Sparse linear algebra",
                 perf_unit: "GFLOP/s",
+                work_unit: "FLOP",
             },
             Workload::Spgemm => WorkloadSpec {
                 workload: *self,
@@ -164,6 +176,7 @@ impl Workload {
                 distinct_cce: true,
                 dwarf: "Sparse linear algebra",
                 perf_unit: "GFLOP/s",
+                work_unit: "FLOP",
             },
         }
     }
@@ -327,7 +340,8 @@ impl PreparedCase {
     }
 
     /// Useful work of one execution, in the workload's unit basis
-    /// (FLOPs, points, elements, edges, pushes).
+    /// ([`WorkloadSpec::work_unit`]: FLOP, points, elements, edges,
+    /// pushes).
     pub fn useful_work(&self) -> f64 {
         match self {
             PreparedCase::Gemm(c) => c.useful_flops(),
@@ -368,6 +382,20 @@ impl PreparedCase {
             PreparedCase::Spgemm { matrix, .. } => spgemm::trace(matrix, variant),
             PreparedCase::Bfs { graph, source, .. } => bfs::trace(graph, *source, variant),
         })
+    }
+
+    /// The traces of all four variants, in [`Variant::ALL`] order — equal
+    /// to mapping [`PreparedCase::trace`] over them. BFS derives its
+    /// three bitmap variants from one traversal ([`bfs::trace_all`]), so
+    /// a sweep that needs every variant of a case asks here.
+    pub fn traces(&self) -> Vec<Option<WorkloadTrace>> {
+        match self {
+            PreparedCase::Bfs { graph, source, .. } => bfs::trace_all(graph, *source)
+                .into_iter()
+                .map(Some)
+                .collect(),
+            _ => Variant::ALL.iter().map(|&v| self.trace(v)).collect(),
+        }
     }
 }
 

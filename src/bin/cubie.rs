@@ -318,14 +318,7 @@ fn run_cmd(rest: &[&String]) {
         eprintln!("nothing swept for {wname} case {case_idx}");
         std::process::exit(2);
     };
-    println!(
-        "{} case {} ({}), useful work {:.3e} {}\n",
-        w.spec().name,
-        case_idx,
-        first.case,
-        first.useful,
-        w.spec().perf_unit
-    );
+    println!("{}\n", run_header(w, case_idx, &first.case, first.useful));
     let mut rows = Vec::new();
     for dev in sweep.devices() {
         for v in w.variants() {
@@ -722,9 +715,10 @@ fn golden_list() {
 
 /// Cold-vs-warm verdict on the prepared-input store after a sweep,
 /// printed by `cubie profile` and `cubie bench-smoke`: snapshot hits
-/// mean the `prepare` phase was served zero-copy from mmap'd snapshots
-/// under `results/prep`; misses mean it paid generation and recorded a
-/// snapshot for the next run. `prepare_busy_s` is this run's measured
+/// mean the `prepare` phase was served from snapshots under
+/// `results/prep` (mmap'd, or copied under `CUBIE_PREP_MMAP=off`);
+/// misses mean it paid generation and recorded a snapshot for the next
+/// run. `prepare_busy_s` is this run's measured
 /// `prepare` busy time, so cold and warm invocations can be compared
 /// directly from their output.
 fn prep_store_line(prepare_busy_s: f64) -> String {
@@ -735,8 +729,27 @@ fn prep_store_line(prepare_busy_s: f64) -> String {
             report::seconds(prepare_busy_s)
         );
     }
-    let hits = cubie::obs::counter_get("prep.hit");
-    let misses = cubie::obs::counter_get("prep.miss");
+    prep_verdict(
+        &cfg,
+        [
+            cubie::obs::counter_get("prep.hit"),
+            cubie::obs::counter_get("prep.miss"),
+            cubie::obs::counter_get("prep.bytes_mapped"),
+            cubie::obs::counter_get("prep.bytes_written"),
+        ],
+        prepare_busy_s,
+    )
+}
+
+/// [`prep_store_line`] for an enabled store, from its `prep.hit`,
+/// `prep.miss`, `prep.bytes_mapped` and `prep.bytes_written` counters.
+/// Hit bytes are labelled by the load mode: `mapped` under mmap,
+/// `copied` under `CUBIE_PREP_MMAP=off`.
+fn prep_verdict(
+    cfg: &cubie::prep::PrepConfig,
+    [hits, misses, loaded, written]: [u64; 4],
+    prepare_busy_s: f64,
+) -> String {
     if hits == 0 && misses == 0 {
         return format!(
             "prepare: no snapshot-backed inputs in this run — busy {}",
@@ -751,13 +764,27 @@ fn prep_store_line(prepare_busy_s: f64) -> String {
     } else {
         "mixed"
     };
+    let load = match cfg.mode {
+        cubie::prep::LoadMode::Mmap => "mapped",
+        cubie::prep::LoadMode::Copied => "copied",
+    };
     format!(
-        "prepare: {verdict} — {hits} snapshot hit(s) ({:.1} MiB zero-copy), \
+        "prepare: {verdict} — {hits} snapshot hit(s) ({:.1} MiB {load}), \
          {misses} miss(es) ({:.1} MiB recorded), busy {} (store {})",
-        mib(cubie::obs::counter_get("prep.bytes_mapped")),
-        mib(cubie::obs::counter_get("prep.bytes_written")),
+        mib(loaded),
+        mib(written),
         report::seconds(prepare_busy_s),
         cfg.dir.display()
+    )
+}
+
+/// The first line of `cubie run`: the case and one execution's useful
+/// work, printed in the workload's work unit (a quantity, not a rate).
+fn run_header(w: Workload, case_idx: usize, case: &str, useful: f64) -> String {
+    let spec = w.spec();
+    format!(
+        "{} case {case_idx} ({case}), useful work {useful:.3e} {}",
+        spec.name, spec.work_unit
     )
 }
 
@@ -1115,5 +1142,43 @@ fn client_cmd(rest: &[&String]) {
     println!("{}", response.to_pretty_string());
     if response.get("ok").and_then(|v| v.as_bool()) != Some(true) {
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn run_header_prints_work_as_a_quantity() {
+        let gemm = run_header(Workload::Gemm, 2, "2048", 2.048e3);
+        assert_eq!(gemm, "GEMM case 2 (2048), useful work 2.048e3 FLOP");
+        for w in Workload::ALL {
+            let line = run_header(w, 0, "c", 1.0);
+            assert!(
+                !line.contains("/s"),
+                "{line}: a rate unit on a work quantity"
+            );
+            assert!(line.ends_with(w.spec().work_unit), "{line}");
+        }
+        assert!(run_header(Workload::Bfs, 0, "g", 1.0).ends_with(" edges"));
+    }
+
+    #[test]
+    fn prep_verdict_names_the_load_mode() {
+        let mut cfg = cubie::prep::PrepConfig::new();
+        let counters = [15, 0, 7 << 20, 0];
+        let mapped = prep_verdict(&cfg, counters, 0.01);
+        assert!(mapped.starts_with("prepare: warm"), "{mapped}");
+        assert!(mapped.contains("(7.0 MiB mapped)"), "{mapped}");
+        cfg.mode = cubie::prep::LoadMode::Copied;
+        let copied = prep_verdict(&cfg, counters, 0.01);
+        assert!(copied.contains("(7.0 MiB copied)"), "{copied}");
+        for line in [&mapped, &copied] {
+            assert!(!line.contains("zero-copy"), "{line}");
+        }
+        let cold = prep_verdict(&cfg, [0, 5, 0, 3 << 20], 0.01);
+        assert!(cold.starts_with("prepare: cold"), "{cold}");
+        assert!(cold.contains("(3.0 MiB recorded)"), "{cold}");
     }
 }
