@@ -34,6 +34,8 @@
 //! * [`mmap`] / [`slab`] — read-only file mappings and the
 //!   owned-or-mapped [`slab::Slab`] buffers under prepared cases, so
 //!   snapshot-store hits serve kernel inputs zero-copy from disk.
+//! * `poll` (unix) — a blocking `poll(2)` readiness wait, so event loops
+//!   park in the kernel instead of sleep-polling.
 //! * [`simd`] — SIMD-width implementations of the dominant inner loops
 //!   (strided MMA core, CSR SpMV row, stencil star row) with runtime
 //!   dispatch across scalar/AVX2/AVX-512/NEON, every path bit-identical
@@ -53,6 +55,8 @@ pub mod matrix;
 pub mod mma;
 pub mod mmap;
 pub mod par;
+#[cfg(unix)]
+pub mod poll;
 pub mod pool;
 pub mod rng;
 pub mod scalar;

@@ -53,7 +53,9 @@ pub struct WorkloadSpec {
     pub distinct_cce: bool,
     /// Berkeley dwarf (Table 7).
     pub dwarf: &'static str,
-    /// Unit of the reported throughput.
+    /// Unit of the reported throughput: a giga-rate of `work_unit`, since
+    /// the sweep reports useful work / time / 1e9
+    /// (`cubie_bench::SweepCell::gthroughput`).
     pub perf_unit: &'static str,
     /// Unit of one execution's useful work ([`PreparedCase::useful_work`]),
     /// the quantity `perf_unit` is a rate of.
@@ -95,7 +97,7 @@ impl Workload {
                 baseline: None,
                 distinct_cce: false,
                 dwarf: "N-Body",
-                perf_unit: "Mpush/s",
+                perf_unit: "Gpush/s",
                 work_unit: "pushes",
             },
             Workload::Fft => WorkloadSpec {
@@ -502,6 +504,32 @@ mod tests {
         ];
         for (w, q) in expect {
             assert_eq!(w.spec().quadrant, q, "{:?}", w);
+        }
+    }
+
+    #[test]
+    fn perf_units_are_giga_rates_of_the_work_unit() {
+        // `SweepCell::gthroughput` is useful work / seconds / 1e9, so every
+        // label must carry the G prefix and name the work it counts.
+        for w in Workload::ALL {
+            let s = w.spec();
+            let rate = s
+                .perf_unit
+                .strip_prefix('G')
+                .unwrap_or_else(|| panic!("{w:?}: `{}` is not a 1e9 rate", s.perf_unit));
+            let counted = match s.work_unit {
+                "FLOP" => "FLOP/s",
+                "pushes" => "push/s",
+                "points" => "point/s",
+                "elements" => "elem/s",
+                "edges" => "TEPS",
+                other => panic!("{w:?}: unknown work unit `{other}`"),
+            };
+            assert_eq!(
+                rate, counted,
+                "{w:?}: `{}` vs work unit `{}`",
+                s.perf_unit, s.work_unit
+            );
         }
     }
 

@@ -15,9 +15,10 @@
 //!   oracle, reachable on demand via the `verify` request flag).
 //! * [`server`] — the daemon itself: request batching/dedup (N
 //!   concurrent identical requests → one execution), admission control
-//!   (per-request job clamps, bounded pending queue with backpressure),
-//!   per-request `cubie_obs` counters (`serve.hit` / `serve.miss` /
-//!   `serve.dedup` / `serve.queued` / …).
+//!   (per-request job clamps, bounded pending queue with backpressure,
+//!   a connection cap, bounded request lines), an event-driven accept
+//!   thread, and per-request `cubie_obs` counters (`serve.hit` /
+//!   `serve.miss` / `serve.dedup` / `serve.queued` / …).
 //!
 //! Start it with `cubie serve`, talk to it with `cubie client` (see
 //! README, "Running cubied").
@@ -31,5 +32,7 @@ pub mod store;
 
 pub use proto::{AdviseSpec, Request, SweepSpec, PROTO_VERSION};
 #[cfg(unix)]
-pub use server::{client_request, Daemon, Handle, ServeConfig};
+pub use server::{
+    client_request, Daemon, Handle, ServeConfig, INTERACTIVE_CONNECTIONS, MAX_REQUEST_BYTES,
+};
 pub use store::{fnv1a64, Lookup, Store, StoreKey, STORE_SCHEMA};

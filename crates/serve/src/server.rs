@@ -1,7 +1,10 @@
 //! The `cubied` daemon: a threaded async request layer over the
 //! persistent worker pool.
 //!
-//! One accept loop + one thread per connection; the expensive work
+//! One event-driven accept thread + one thread per connection; the
+//! accept thread parks in `poll(2)` on the listener and a wake channel
+//! (never a sleep-poll), so a new connection is picked up as soon as it
+//! arrives and a shutdown request wakes it at once. The expensive work
 //! (sweep execution) is **batched and deduplicated** behind an in-flight
 //! table keyed by the canonical request key — N clients asking for the
 //! same cell trigger exactly one sweep execution, the other N−1 block on
@@ -18,17 +21,23 @@
 //! is rejected with a `server busy` backpressure error, never queued
 //! unboundedly), per-request `jobs` are clamped to
 //! [`ServeConfig::max_jobs`], and `advise`/`ping`/`stats` bypass the
-//! heavy gate entirely. Every outcome increments a named
+//! heavy gate entirely. Concurrent connections are capped at
+//! [`ServeConfig::connection_cap`] (the heavy lane plus
+//! [`INTERACTIVE_CONNECTIONS`]); past the cap a new connection gets one
+//! `server busy` line and is closed. Request lines are bounded by
+//! [`MAX_REQUEST_BYTES`]. Every outcome increments a named
 //! [`cubie_obs`] counter (`serve.hit`, `serve.miss`, `serve.dedup`,
 //! `serve.queued`, `serve.rejected`, …) and the daemon keeps its own
 //! atomic mirror for the `stats` response.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::os::fd::AsRawFd;
+use std::os::unix::fs::MetadataExt;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -41,6 +50,18 @@ use crate::proto::{
     error_response, ok_response, parse_request, AdviseSpec, Request, SweepSpec, PROTO_VERSION,
 };
 use crate::store::{Lookup, Store, StoreKey};
+
+/// Longest request line the daemon reads, newline included. The largest
+/// real request is a few hundred bytes; a longer line (or one that is
+/// not UTF-8) gets one error response and the connection is closed, so
+/// no client can grow the daemon's memory without bound.
+pub const MAX_REQUEST_BYTES: usize = 64 * 1024;
+
+/// Connections allowed beyond the heavy lane (`heavy_slots +
+/// queue_limit`): room for the interactive lane (`ping`, `stats`,
+/// `advise`) and idle clients while every heavy slot and queue place is
+/// taken. See [`ServeConfig::connection_cap`].
+pub const INTERACTIVE_CONNECTIONS: usize = 32;
 
 /// Daemon configuration: socket/store locations plus the admission
 /// knobs (see README, "Running cubied").
@@ -62,6 +83,19 @@ pub struct ServeConfig {
     /// Test hook: artificial delay inside each execution, widening the
     /// dedup window deterministically. 0 in production.
     pub exec_delay_ms: u64,
+}
+
+impl ServeConfig {
+    /// Most connections served at once, one handler thread each: every
+    /// heavy slot and queue place plus [`INTERACTIVE_CONNECTIONS`], so
+    /// the heavy gate's `server busy` answer is reached before this cap
+    /// is. A connection past the cap gets a `server busy` error line and
+    /// is closed without a handler thread.
+    pub fn connection_cap(&self) -> usize {
+        self.heavy_slots
+            .saturating_add(self.queue_limit)
+            .saturating_add(INTERACTIVE_CONNECTIONS)
+    }
 }
 
 impl Default for ServeConfig {
@@ -154,7 +188,16 @@ pub struct Daemon {
     gate: Mutex<Gate>,
     gate_cv: Condvar,
     stop: AtomicBool,
-    active: AtomicUsize,
+    /// Write end of the accept thread's wake channel: one byte makes its
+    /// `poll` return (see [`Daemon::request_stop`]).
+    wake: UnixStream,
+    /// Open connections (handler threads); the drain waits on `drained`
+    /// until it reaches zero.
+    active: Mutex<usize>,
+    drained: Condvar,
+    /// Device and inode of the socket file this daemon bound, so a clean
+    /// exit never unlinks a socket another daemon has since bound there.
+    socket_id: (u64, u64),
     started: Instant,
 }
 
@@ -171,9 +214,10 @@ impl Handle {
     }
 
     /// Ask the accept loop to stop and wait for every in-flight
-    /// connection to drain. Idempotent.
+    /// connection to drain. Idempotent, and independent of the socket
+    /// file: it returns even if that file was unlinked or re-bound.
     pub fn shutdown(&mut self) {
-        self.daemon.stop.store(true, Ordering::SeqCst);
+        self.daemon.request_stop();
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
@@ -209,7 +253,13 @@ impl Daemon {
             }
         }
         let listener = UnixListener::bind(&cfg.socket)?;
+        // Non-blocking so the accept thread can take every pending
+        // connection after one `poll` wake-up and stop at `WouldBlock`.
         listener.set_nonblocking(true)?;
+        let bound = std::fs::metadata(&cfg.socket)?;
+        let (wake, wake_rx) = UnixStream::pair()?;
+        // A full wake buffer already holds a pending wake-up: never block.
+        wake.set_nonblocking(true)?;
 
         // Per-startup banner: protocol, SIMD dispatch, pool sizing,
         // store revalidation verdict, admission knobs — routed through
@@ -230,8 +280,11 @@ impl Daemon {
             report.removed_invalid
         ));
         cubie_obs::log(format!(
-            "cubied: admission max_jobs={} heavy_slots={} queue_limit={}",
-            cfg.max_jobs, cfg.heavy_slots, cfg.queue_limit
+            "cubied: admission max_jobs={} heavy_slots={} queue_limit={} connection_cap={}",
+            cfg.max_jobs,
+            cfg.heavy_slots,
+            cfg.queue_limit,
+            cfg.connection_cap()
         ));
         cubie_obs::counter_add("serve.store_swept_tmp", report.removed_tmp as u64);
         cubie_obs::counter_add("serve.store_invalidated", report.removed_invalid as u64);
@@ -263,19 +316,49 @@ impl Daemon {
             gate: Mutex::new(Gate::default()),
             gate_cv: Condvar::new(),
             stop: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
+            wake,
+            active: Mutex::new(0),
+            drained: Condvar::new(),
+            socket_id: (bound.dev(), bound.ino()),
             started: Instant::now(),
         });
 
         let accept_daemon = Arc::clone(&daemon);
         let accept_thread = std::thread::Builder::new()
             .name("cubied-accept".into())
-            .spawn(move || accept_loop(accept_daemon, listener))?;
+            .spawn(move || accept_loop(accept_daemon, listener, wake_rx))?;
 
         Ok(Handle {
             daemon,
             accept_thread: Some(accept_thread),
         })
+    }
+
+    /// Set the stop flag and wake the accept thread. The wake-up goes
+    /// through the in-process channel, never the socket path, so it
+    /// works whatever has happened to the socket file.
+    fn request_stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        let _ = (&self.wake).write(&[1]);
+    }
+
+    /// Take a connection slot, or `None` when all
+    /// [`ServeConfig::connection_cap`] slots are in use.
+    fn claim_connection(daemon: &Arc<Daemon>) -> Option<ConnectionSlot> {
+        let mut active = daemon.active.lock().unwrap_or_else(|e| e.into_inner());
+        if *active >= daemon.cfg.connection_cap() {
+            return None;
+        }
+        *active += 1;
+        Some(ConnectionSlot(Arc::clone(daemon)))
+    }
+
+    /// Block until every connection slot has been released.
+    fn wait_drained(&self) {
+        let mut active = self.active.lock().unwrap_or_else(|e| e.into_inner());
+        while *active > 0 {
+            active = self.drained.wait(active).unwrap_or_else(|e| e.into_inner());
+        }
     }
 
     /// Clamp a client's requested worker cap to the admission cap.
@@ -661,7 +744,7 @@ impl Daemon {
             Request::Ping => ok_response("ping", vec![("proto", PROTO_VERSION.into())]),
             Request::Stats => self.handle_stats(),
             Request::Shutdown => {
-                self.stop.store(true, Ordering::SeqCst);
+                self.request_stop();
                 ok_response("shutdown", vec![])
             }
             Request::Sweep(spec) => self.handle_sweep(spec),
@@ -689,38 +772,90 @@ fn sweep_response(store: &str, address: &str, cells: u64, artifact: Arc<Json>) -
     )
 }
 
-fn accept_loop(daemon: Arc<Daemon>, listener: UnixListener) {
+/// A claimed connection slot, owned by the connection's handler thread.
+/// Dropping it — the handler returned or panicked, or its thread never
+/// started — releases the slot and wakes the drain.
+struct ConnectionSlot(Arc<Daemon>);
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        let daemon = &self.0;
+        *daemon.active.lock().unwrap_or_else(|e| e.into_inner()) -= 1;
+        daemon.drained.notify_all();
+    }
+}
+
+fn accept_loop(daemon: Arc<Daemon>, listener: UnixListener, wake: UnixStream) {
+    let fds = [listener.as_raw_fd(), wake.as_raw_fd()];
     while !daemon.stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let conn_daemon = Arc::clone(&daemon);
-                conn_daemon.active.fetch_add(1, Ordering::SeqCst);
-                let spawned = std::thread::Builder::new()
-                    .name("cubied-conn".into())
-                    .spawn(move || {
-                        handle_connection(&conn_daemon, stream);
-                        conn_daemon.active.fetch_sub(1, Ordering::SeqCst);
-                    });
-                if let Err(e) = spawned {
-                    daemon.active.fetch_sub(1, Ordering::SeqCst);
-                    cubie_obs::log(format!("cubied: failed to spawn handler: {e}"));
+        // Park until a client connects or `request_stop` writes to the
+        // wake channel. The wake byte is never read: it is only written
+        // after the stop flag is set, which ends this loop.
+        if let Err(e) = cubie_core::poll::wait_readable(fds) {
+            cubie_obs::log(format!("cubied: poll failed: {e}"));
+            std::thread::sleep(Duration::from_millis(50));
+            continue;
+        }
+        // Take every pending connection; a steady flood of them must
+        // not hold off a shutdown.
+        while !daemon.stop.load(Ordering::SeqCst) {
+            match listener.accept() {
+                Ok((stream, _)) => admit(&daemon, stream),
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) => {
+                    cubie_obs::log(format!("cubied: accept failed: {e}"));
+                    std::thread::sleep(Duration::from_millis(50));
+                    break;
                 }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) => {
-                cubie_obs::log(format!("cubied: accept failed: {e}"));
-                std::thread::sleep(Duration::from_millis(50));
             }
         }
     }
-    // Drain: wait for in-flight connections, then release the socket.
-    while daemon.active.load(Ordering::SeqCst) > 0 {
-        std::thread::sleep(Duration::from_millis(5));
+    // Refuse new connections at once, then drain the open ones.
+    drop(listener);
+    daemon.wait_drained();
+    // Unlink the socket only if it is still the one this daemon bound:
+    // another daemon may have been started on the same path since.
+    let ours =
+        std::fs::metadata(&daemon.cfg.socket).is_ok_and(|m| (m.dev(), m.ino()) == daemon.socket_id);
+    if ours {
+        let _ = std::fs::remove_file(&daemon.cfg.socket);
     }
-    let _ = std::fs::remove_file(&daemon.cfg.socket);
     cubie_obs::log("cubied: shut down cleanly".to_string());
+}
+
+/// Hand one accepted connection to its own handler thread, or — when
+/// every connection slot is taken — answer one `server busy` line and
+/// close it.
+fn admit(daemon: &Arc<Daemon>, stream: UnixStream) {
+    let Some(slot) = Daemon::claim_connection(daemon) else {
+        daemon.stats.bump(&daemon.stats.rejected, "serve.rejected");
+        let busy = error_response(&format!(
+            "server busy: all {} connection slots in use",
+            daemon.cfg.connection_cap()
+        ));
+        // The accept thread must never block on a client: a fresh
+        // socket's send buffer takes one short line without waiting.
+        let _ = stream.set_nonblocking(true);
+        send_line(&mut &stream, &busy);
+        return;
+    };
+    let spawned = std::thread::Builder::new()
+        .name("cubied-conn".into())
+        .spawn(move || {
+            handle_connection(&slot.0, stream);
+            drop(slot);
+        });
+    if let Err(e) = spawned {
+        // The unstarted closure was dropped, releasing its slot.
+        cubie_obs::log(format!("cubied: failed to spawn handler: {e}"));
+    }
+}
+
+/// Write one response line; `false` if the client has gone away.
+fn send_line(writer: &mut impl Write, response: &Json) -> bool {
+    let mut payload = response.to_canonical_string();
+    payload.push('\n');
+    writer.write_all(payload.as_bytes()).is_ok() && writer.flush().is_ok()
 }
 
 /// One connection: line-delimited request/response until EOF. All
@@ -731,8 +866,9 @@ fn accept_loop(daemon: Arc<Daemon>, listener: UnixListener) {
 fn handle_connection(daemon: &Daemon, stream: UnixStream) {
     // A bounded read timeout keeps idle clients from pinning the drain
     // phase of shutdown: on each timeout the handler re-checks the stop
-    // flag. A partially read line survives timeouts (read_line appends),
-    // so slow writers are never corrupted, only re-polled.
+    // flag. A partially read line survives timeouts (read_until appends
+    // what it consumed), so slow writers are never corrupted, only
+    // re-polled.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
@@ -742,10 +878,11 @@ fn handle_connection(daemon: &Daemon, stream: UnixStream) {
         }
     });
     let mut writer = stream;
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // client closed
+        // Never buffer more than MAX_REQUEST_BYTES of one line.
+        let room = (MAX_REQUEST_BYTES - line.len()) as u64;
+        match (&mut reader).take(room).read_until(b'\n', &mut line) {
             Ok(_) => {}
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -761,20 +898,39 @@ fn handle_connection(daemon: &Daemon, stream: UnixStream) {
                 return;
             }
         }
-        if !line.trim().is_empty() {
-            let response = match parse_request(line.trim()) {
+        // Without a newline, the read stopped at the cap or at EOF.
+        let complete = line.ends_with(b"\n");
+        let text = if !complete && line.len() >= MAX_REQUEST_BYTES {
+            Err(format!(
+                "request line exceeds {MAX_REQUEST_BYTES} bytes; closing the connection"
+            ))
+        } else {
+            std::str::from_utf8(&line)
+                .map_err(|_| "request is not valid UTF-8; closing the connection".to_string())
+        };
+        // A complete line, or the client's last, unterminated one.
+        let text = match text {
+            Ok(t) => t.trim(),
+            Err(msg) => {
+                daemon.stats.bump(&daemon.stats.errors, "serve.error");
+                send_line(&mut writer, &error_response(&msg));
+                return;
+            }
+        };
+        if !text.is_empty() {
+            let response = match parse_request(text) {
                 Ok(req) => daemon.handle(&req),
                 Err(e) => {
                     daemon.stats.bump(&daemon.stats.errors, "serve.error");
                     error_response(&e)
                 }
             };
-            let mut payload = response.to_canonical_string();
-            payload.push('\n');
-            if writer.write_all(payload.as_bytes()).is_err() {
+            if !send_line(&mut writer, &response) {
                 return; // client went away mid-response
             }
-            let _ = writer.flush();
+        }
+        if !complete {
+            return; // client closed
         }
         line.clear();
     }

@@ -170,14 +170,29 @@ fn parse_devices(rest: &[&String]) -> Vec<DeviceSpec> {
     }
 }
 
-fn scales(rest: &[&String]) -> (usize, usize) {
-    let s = opt(rest, "--sparse-scale")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    let g = opt(rest, "--graph-scale")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(16);
-    (s, g)
+/// `--sparse-scale K` / `--graph-scale K` of `run` and `advise`, with the
+/// sweep binaries' precedence: flag, then `CUBIE_SPARSE_SCALE` /
+/// `CUBIE_GRAPH_SCALE`, then the default. A malformed flag is an error;
+/// a malformed variable warns and falls back to the default.
+fn scales(rest: &[&String]) -> Result<(usize, usize), String> {
+    let scale = |name: &str, from_env: fn() -> usize| match opt(rest, name) {
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{name} `{v}` is not a number")),
+        None => Ok(from_env()),
+    };
+    Ok((
+        scale("--sparse-scale", cubie::bench::sparse_scale)?,
+        scale("--graph-scale", cubie::bench::graph_scale)?,
+    ))
+}
+
+/// [`scales`], exiting 2 on a malformed flag.
+fn scales_or_exit(rest: &[&String]) -> (usize, usize) {
+    scales(rest).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
 }
 
 fn devices_cmd() {
@@ -291,7 +306,7 @@ fn run_cmd(rest: &[&String]) {
         std::process::exit(2);
     };
     let w = parse_workload(wname);
-    let (ss, gs) = scales(rest);
+    let (ss, gs) = scales_or_exit(rest);
     let case_idx: usize = opt(rest, "--case")
         .and_then(|v| v.parse().ok())
         .unwrap_or(2);
@@ -342,7 +357,7 @@ fn run_cmd(rest: &[&String]) {
                 "device",
                 "variant",
                 "time",
-                "Gunit/s",
+                w.spec().perf_unit,
                 "TC util",
                 "DRAM util"
             ],
@@ -553,7 +568,7 @@ fn advise_cmd(rest: &[&String]) {
         std::process::exit(2);
     };
     let w = parse_workload(wname);
-    let (ss, gs) = scales(rest);
+    let (ss, gs) = scales_or_exit(rest);
     // Prepare through the shared sweep cache: labels and traces of all
     // variants are memoized for the rest of the process.
     let cache = cubie::bench::SweepCache::global();
@@ -604,39 +619,61 @@ fn advise_cmd(rest: &[&String]) {
     );
 }
 
+const GOLDEN_USAGE: &str = "usage: cubie golden record|check|list [--only name,name]";
+
 /// Artifact names selected by `--only a,b` (default: the full registry).
-fn golden_selection(rest: &[&String]) -> Vec<&'static str> {
-    let Some(only) = opt(rest, "--only") else {
-        return artifacts::GOLDEN_ARTIFACTS.to_vec();
-    };
-    let mut names = Vec::new();
-    for n in only.split(',') {
-        match artifacts::GOLDEN_ARTIFACTS.iter().find(|a| **a == n) {
-            Some(a) => names.push(*a),
-            None => {
-                eprintln!("unknown artifact `{n}` — `cubie golden list` shows the registry");
-                std::process::exit(2);
+/// Any other argument is an error: `record` and `check` run one fixed
+/// configuration, and accepting e.g. `--jobs 8` would claim one that
+/// never ran.
+fn golden_selection(rest: &[&String]) -> Result<Vec<&'static str>, String> {
+    let mut only = None;
+    let mut args = rest.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--only" => {
+                let list = args.next().ok_or("--only needs a value")?;
+                only = Some(list.as_str());
             }
+            other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    names
+    let Some(only) = only else {
+        return Ok(artifacts::GOLDEN_ARTIFACTS.to_vec());
+    };
+    only.split(',')
+        .map(|n| {
+            artifacts::GOLDEN_ARTIFACTS
+                .iter()
+                .find(|a| **a == n)
+                .copied()
+                .ok_or_else(|| {
+                    format!("unknown artifact `{n}` — `cubie golden list` shows the registry")
+                })
+        })
+        .collect()
 }
 
 fn golden_cmd(rest: &[&String]) {
     let sub = rest.first().map(|s| s.as_str()).unwrap_or("");
     let tail = &rest[rest.len().min(1)..];
+    let selection = || {
+        golden_selection(tail).unwrap_or_else(|e| {
+            eprintln!("{e}\n{GOLDEN_USAGE}");
+            std::process::exit(2);
+        })
+    };
     match sub {
-        "record" => golden_record(tail),
-        "check" => golden_check(tail),
-        "list" => golden_list(),
+        "record" => golden_record(&selection()),
+        "check" => golden_check(&selection()),
+        "list" if tail.is_empty() => golden_list(),
         _ => {
-            eprintln!("usage: cubie golden record|check|list [--only name,name]");
+            eprintln!("{GOLDEN_USAGE}");
             std::process::exit(2);
         }
     }
 }
 
-fn golden_record(rest: &[&String]) {
+fn golden_record(names: &[&'static str]) {
     let ctx = artifacts::GoldenCtx::new(artifacts::GoldenConfig::default());
     let dir = artifacts::golden_dir();
     println!(
@@ -645,7 +682,7 @@ fn golden_record(rest: &[&String]) {
         ctx.config.graph_scale,
         dir.display()
     );
-    for name in golden_selection(rest) {
+    for &name in names {
         let Some(artifact) = artifacts::build(&ctx, name) else {
             fail(format!("artifact `{name}` missing from the build registry"));
         };
@@ -661,11 +698,11 @@ fn golden_record(rest: &[&String]) {
     }
 }
 
-fn golden_check(rest: &[&String]) {
+fn golden_check(names: &[&'static str]) {
     let ctx = artifacts::GoldenCtx::new(artifacts::GoldenConfig::default());
     let dir = artifacts::golden_dir();
     let mut report_diffs = Vec::new();
-    for name in golden_selection(rest) {
+    for &name in names {
         let path = dir.join(format!("{name}.json"));
         let diff = match cubie::golden::Artifact::read(&path) {
             Ok(golden) => {
@@ -788,6 +825,17 @@ fn run_header(w: Workload, case_idx: usize, case: &str, useful: f64) -> String {
     )
 }
 
+/// The threads a sweep ran on, in the terms of the pool announcement
+/// ("worker pool N helper(s) + submitter"), from the job count the sweep
+/// ran under: `pool::worker_count()` read after the run reflects the
+/// restored cap, not the run.
+fn workers_phrase(jobs: usize) -> String {
+    format!(
+        "{jobs} worker(s): {} pool helper(s) + submitter",
+        jobs.saturating_sub(1)
+    )
+}
+
 fn bench_smoke_cmd(rest: &[&String]) {
     let record = rest.iter().any(|a| a.as_str() == "--record");
     println!(
@@ -804,12 +852,11 @@ fn bench_smoke_cmd(rest: &[&String]) {
     );
     let result = smoke::run_smoke();
     println!(
-        "  {} cells, simulated total {:.3e} s, best wall {:.0} ms \
-         ({} persistent pool worker(s))",
+        "  {} cells, simulated total {:.3e} s, best wall {:.0} ms ({})",
         result.cells,
         result.sim_total_s,
         result.wall_ms,
-        cubie::core::pool::worker_count()
+        workers_phrase(result.jobs)
     );
     for p in &result.phases {
         println!(
@@ -896,12 +943,12 @@ fn profile_cmd(rest: &[&String]) {
         // exceeds wall.
         cfg.jobs = Some(1);
     }
+    // The resolved count the pool will actually run with, so these
+    // lines and the pool agree.
+    let jobs = cfg.effective_jobs();
     println!(
-        "profiling {} workload(s), jobs {}…",
-        cfg.workloads.len(),
-        // The resolved count the pool will actually run with, so this
-        // line and the pool agree (previously printed "auto").
-        cfg.effective_jobs()
+        "profiling {} workload(s), jobs {jobs}…",
+        cfg.workloads.len()
     );
 
     // A private cold cache, so case preparation is part of the profile
@@ -957,11 +1004,11 @@ fn profile_cmd(rest: &[&String]) {
         )
     );
     println!(
-        "{} cells swept in {}; {} spans recorded; {} persistent pool worker(s).",
+        "{} cells swept in {}; {} spans recorded; {}.",
         sweep.cells.len(),
         report::seconds(wall_s),
         spans.len(),
-        cubie::core::pool::worker_count()
+        workers_phrase(jobs)
     );
     println!(
         "{}",
@@ -1162,6 +1209,48 @@ mod tests {
             assert!(line.ends_with(w.spec().work_unit), "{line}");
         }
         assert!(run_header(Workload::Bfs, 0, "g", 1.0).ends_with(" edges"));
+    }
+
+    /// Call `f` with `args` as `main` hands them to a command.
+    fn with_args<T>(args: &[&str], f: impl FnOnce(&[&String]) -> T) -> T {
+        let owned: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        f(&owned.iter().collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn scales_take_flag_then_env_then_default() {
+        // The only test in this binary that touches the environment.
+        std::env::set_var("CUBIE_SPARSE_SCALE", "4");
+        std::env::set_var("CUBIE_GRAPH_SCALE", "32");
+        assert_eq!(with_args(&[], scales), Ok((4, 32)));
+        let flagged = ["--sparse-scale", "8", "--graph-scale", "64"];
+        assert_eq!(with_args(&flagged, scales), Ok((8, 64)));
+        std::env::set_var("CUBIE_GRAPH_SCALE", "big");
+        assert_eq!(
+            with_args(&[], scales),
+            Ok((4, 16)),
+            "garbage env falls back"
+        );
+        let err = with_args(&["--graph-scale", "big"], scales).unwrap_err();
+        assert!(err.contains("--graph-scale `big`"), "{err}");
+        std::env::remove_var("CUBIE_SPARSE_SCALE");
+        std::env::remove_var("CUBIE_GRAPH_SCALE");
+        assert_eq!(with_args(&[], scales), Ok((1, 16)));
+    }
+
+    #[test]
+    fn golden_selection_accepts_only_the_only_flag() {
+        let all = artifacts::GOLDEN_ARTIFACTS.to_vec();
+        assert_eq!(with_args(&[], golden_selection), Ok(all));
+        let first = artifacts::GOLDEN_ARTIFACTS[0];
+        assert_eq!(
+            with_args(&["--only", first], golden_selection),
+            Ok(vec![first])
+        );
+        let err = with_args(&["--jobs", "8"], golden_selection).unwrap_err();
+        assert!(err.contains("unknown argument `--jobs`"), "{err}");
+        assert!(with_args(&["--only"], golden_selection).is_err());
+        assert!(with_args(&["--only", "no_such_artifact"], golden_selection).is_err());
     }
 
     #[test]
